@@ -24,6 +24,14 @@ Both expose the same interface:
     per-observation array is a buffer preallocated once, so repeated
     calls allocate nothing proportional to ``n`` or the observation
     count.
+``accumulate_e_step(theta, out)``
+    The E-pass of ``accumulate_em_step`` alone: the same blocked
+    responsibility sums added into ``out``, with the component
+    parameters read and never updated.  Serving fold-in
+    (:mod:`repro.serving.foldin`) compiles each batch of *new* nodes'
+    observations into a model of its own, installs the fitted
+    parameters, and calls this once per fixed-point sweep -- one E-step
+    kernel scores fitted and unseen nodes alike.
 ``em_step(theta)``
     Allocating convenience wrapper: same pass, but the responsibility
     sums are returned scattered into a fresh dense ``(n, K)`` array.
@@ -33,21 +41,9 @@ Both expose the same interface:
 The multi-attribute case (Eq. 5 / Eq. 12) needs no special handling: the
 models are independent given Theta, so the solver simply sums their theta
 contributions and log-likelihoods.
-
-The E-step arithmetic is also exposed as module-level *frozen-parameter*
-functions (:func:`categorical_theta_term`, :func:`gaussian_theta_term`):
-given memberships, observations, and fixed component parameters they
-return the responsibility sums of Eqs. 10-12 without touching any model
-state.  ``em_step`` semantics match them, and the serving fold-in engine
-(:mod:`repro.serving.foldin`) calls them directly to score *new*
-observations against a fitted model whose parameters stay frozen;
-:class:`CountsPattern` lets such repeated callers pay the sparse-counts
-decomposition once per batch instead of once per fixed-point sweep.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -56,7 +52,6 @@ from repro.core.kernels import (
     csr_matmul_rows,
     ordered_block_sum,
     plan_for_observations,
-    row_sum,
     run_blocks,
 )
 from repro.exceptions import ConfigError
@@ -66,123 +61,6 @@ from repro.hin.attributes import (
 )
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-# ----------------------------------------------------------------------
-# frozen-parameter responsibility scoring
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CountsPattern:
-    """The decomposed sparse structure of a term-count matrix.
-
-    ``categorical_theta_term`` needs the nonzero triplets and the CSR
-    index pointer of the counts matrix on every call; fixed-point
-    callers (serving fold-in, the models' own EM) evaluate the same
-    counts dozens of times, so this pattern is computed once and passed
-    back in.  Entries are in canonical CSR order.
-    """
-
-    rows: np.ndarray  # (nnz,) row of each stored count
-    cols: np.ndarray  # (nnz,) column (term id) of each stored count
-    vals: np.ndarray  # (nnz,) the counts c_{v,l}
-    indptr: np.ndarray  # CSR row pointer, len shape[0] + 1
-    shape: tuple[int, int]
-
-    @classmethod
-    def from_counts(cls, counts: sparse.spmatrix) -> "CountsPattern":
-        csr = sparse.csr_matrix(counts, dtype=np.float64)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        rows = np.repeat(
-            np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr)
-        )
-        return cls(
-            rows=rows,
-            cols=csr.indices.astype(np.int64, copy=False),
-            vals=csr.data,
-            indptr=csr.indptr,
-            shape=(int(csr.shape[0]), int(csr.shape[1])),
-        )
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.size)
-
-    def ratio_matrix(self, data: np.ndarray) -> sparse.csr_matrix:
-        """A CSR over this pattern carrying ``data`` (no re-sorting)."""
-        return sparse.csr_matrix(
-            (data, self.cols, self.indptr), shape=self.shape
-        )
-
-
-def _categorical_denominators(
-    theta_rows: np.ndarray,
-    pattern: CountsPattern,
-    beta: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``d_{v,l} = sum_k theta_vk beta_kl`` at each nonzero count."""
-    # einsum over the nonzero pattern only: O(nnz * K)
-    return np.einsum(
-        "nk,kn->n",
-        theta_rows[pattern.rows],
-        beta[:, pattern.cols],
-        out=out,
-    )
-
-
-def _categorical_pieces(
-    theta_rows: np.ndarray,
-    pattern: CountsPattern,
-    beta: np.ndarray,
-) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """Theta term plus the ``c_vl / d_vl`` ratio matrix (for the M-step)."""
-    denom = _categorical_denominators(theta_rows, pattern, beta)
-    # guard: denom is 0 only if theta_v and beta share no support
-    denom = np.maximum(denom, 1e-300)
-    ratio = pattern.ratio_matrix(pattern.vals / denom)
-    # theta part: theta_vk * sum_l (c_vl / d_vl) beta_kl
-    return theta_rows * (ratio @ beta.T), ratio
-
-
-def categorical_theta_term(
-    theta_rows: np.ndarray,
-    counts: sparse.spmatrix | None,
-    beta: np.ndarray,
-    pattern: CountsPattern | None = None,
-) -> np.ndarray:
-    """Frozen-``beta`` responsibility sums of Eq. 10 for a batch of rows.
-
-    Parameters
-    ----------
-    theta_rows:
-        ``(m, K)`` memberships of the ``m`` observed objects, aligned
-        with the rows of ``counts``.
-    counts:
-        ``(m, vocab)`` sparse term counts ``c_{v,l}``.  May be ``None``
-        when ``pattern`` is given -- the pattern *is* the decomposed
-        counts, and it alone is read in that case.
-    beta:
-        ``(K, vocab)`` fixed component term distributions.
-    pattern:
-        Optional precomputed :class:`CountsPattern` of ``counts``.
-        Callers evaluating the same counts repeatedly (fold-in sweeps)
-        should build it once; without it the matrix is decomposed per
-        call.
-
-    Returns
-    -------
-    ``(m, K)`` array: ``sum_l c_{v,l} p(z_{v,l} = k | theta_v, beta)``
-    per row.  No parameters are updated.
-    """
-    if pattern is None:
-        if counts is None:
-            raise ValueError("either counts or pattern is required")
-        pattern = CountsPattern.from_counts(counts)
-    if pattern.nnz == 0:
-        return np.zeros((pattern.shape[0], beta.shape[0]))
-    term, _ = _categorical_pieces(theta_rows, pattern, beta)
-    return term
 
 
 def gaussian_log_pdf(
@@ -206,7 +84,9 @@ def gaussian_responsibilities(
     """``p(z_{v,x} = k)`` per observation with frozen parameters (Eq. 11).
 
     ``theta_rows`` holds one membership row per observed *object*;
-    ``owners[i]`` is the row of observation ``values[i]``.
+    ``owners[i]`` is the row of observation ``values[i]``.  The clamped
+    log-space softmax cannot vanish, so :class:`GaussianModel` falls
+    back to it for observations whose every density underflows.
     """
     log_mix = np.log(
         np.maximum(theta_rows[owners], 1e-300)
@@ -215,32 +95,6 @@ def gaussian_responsibilities(
     resp = np.exp(log_mix)
     resp /= resp.sum(axis=1, keepdims=True)
     return resp
-
-
-def gaussian_theta_term(
-    theta_rows: np.ndarray,
-    values: np.ndarray,
-    owners: np.ndarray,
-    means: np.ndarray,
-    variances: np.ndarray,
-) -> np.ndarray:
-    """Frozen-parameter responsibility sums of Eq. 11 for a batch of rows.
-
-    Returns ``(m, K)``: ``sum_{x in v[X]} p(z_{v,x} = k)`` per row of
-    ``theta_rows``.  No parameters are updated.  The owner scatter runs
-    through per-column ``np.bincount`` -- same result as the historical
-    ``np.add.at``, many times faster.
-    """
-    resp = gaussian_responsibilities(
-        theta_rows, values, owners, means, variances
-    )
-    m, k = theta_rows.shape
-    per_node = np.empty((m, k))
-    for col in range(k):
-        per_node[:, col] = np.bincount(
-            owners, weights=resp[:, col], minlength=m
-        )
-    return per_node
 
 
 class CategoricalModel:
@@ -274,16 +128,27 @@ class CategoricalModel:
         self.num_nodes = num_nodes
         self.smoothing = smoothing
         self.beta: np.ndarray | None = None
-        # frozen sparse structure + per-call buffers, allocated once
-        self._pattern = CountsPattern.from_counts(compiled.counts)
-        nnz = self._pattern.nnz
-        n_obs_nodes = compiled.counts.shape[0]
-        self._denom = np.empty(nnz)
-        self._ratio_data = np.empty(nnz)
-        self._ratio = self._pattern.ratio_matrix(self._ratio_data)
+        # frozen sparse structure (canonical CSR order) + per-call
+        # buffers, allocated once
+        counts = sparse.csr_matrix(compiled.counts, dtype=np.float64)
+        counts.sum_duplicates()
+        counts.sort_indices()
+        n_obs_nodes = counts.shape[0]
+        self._indptr = counts.indptr
+        self._cols = counts.indices.astype(np.int64, copy=False)
+        self._vals = counts.data
+        self._rows = np.repeat(
+            np.arange(n_obs_nodes, dtype=np.int64), np.diff(counts.indptr)
+        )
+        self._denom = np.empty(self._vals.size)
+        self._ratio_data = np.empty(self._vals.size)
+        # C / d over the counts pattern, filled blockwise by the E-pass
+        self._ratio = sparse.csr_matrix(
+            (self._ratio_data, self._cols, self._indptr), shape=counts.shape
+        )
         self._theta_obs = np.empty((n_obs_nodes, n_clusters))
         self._term = np.empty((n_obs_nodes, n_clusters))
-        self._beta_t = np.empty((compiled.counts.shape[1], n_clusters))
+        self._beta_t = np.empty((counts.shape[1], n_clusters))
         # blocked execution over observed-node rows: each block owns a
         # contiguous nnz range of the canonical counts pattern
         self._block_rows: int | None = None
@@ -335,67 +200,80 @@ class CategoricalModel:
         plan = self._plan
         if plan is None:
             plan = plan_for_observations(
-                self.compiled.counts.shape[0],
+                self._theta_obs.shape[0],
                 self.n_clusters,
-                self._pattern.nnz,
+                self._vals.size,
                 self._block_rows,
             )
             self._plan = plan
         return plan
+
+    def accumulate_e_step(
+        self, theta: np.ndarray, out: np.ndarray, num_workers: int = 1
+    ) -> None:
+        """The E-pass of Eq. 10 alone, adding the theta contribution to
+        ``out``; ``beta`` is read, never updated.
+
+        ``out[v] += sum_l c_{v,l} * p(z_{v,l} = k | Theta, beta)`` for
+        each observed object.  The pass runs over contiguous
+        observed-node blocks (each block owns its nnz range of the
+        canonical counts pattern and writes disjoint rows of ``out``),
+        so results are bit-identical at any ``num_workers``, and a
+        row's result does not depend on which other rows share the
+        model.  It leaves the memberships of the observed objects and
+        the ``C / d`` ratio matrix behind for the M-step.
+        """
+        beta = self._require_params()
+        if self._vals.size == 0:
+            return
+        indices = self.compiled.node_indices
+        theta_obs = self._theta_obs
+        beta_t = self._beta_t
+        beta_t[...] = beta.T
+        rows, cols, vals, indptr = (
+            self._rows, self._cols, self._vals, self._indptr
+        )
+        denom = self._denom
+        ratio_data = self._ratio_data
+
+        def block(_index: int, v0: int, v1: int) -> None:
+            p0 = int(indptr[v0])
+            p1 = int(indptr[v1])
+            rows_slice = theta_obs[v0:v1]
+            np.take(theta, indices[v0:v1], axis=0, out=rows_slice)
+            if p1 > p0:
+                np.einsum(
+                    "nk,kn->n",
+                    theta_obs[rows[p0:p1]],
+                    beta[:, cols[p0:p1]],
+                    out=denom[p0:p1],
+                )
+                np.maximum(denom[p0:p1], 1e-300, out=denom[p0:p1])
+                np.divide(vals[p0:p1], denom[p0:p1], out=ratio_data[p0:p1])
+            # self._ratio shares ratio_data: its rows v0:v1 now hold C/d
+            csr_matmul_rows(self._ratio, beta_t, self._term, v0, v1)
+            term_slice = self._term[v0:v1]
+            term_slice *= rows_slice
+            out[indices[v0:v1]] += term_slice
+
+        run_blocks(self._get_plan(), block, num_workers)
 
     def accumulate_em_step(
         self, theta: np.ndarray, out: np.ndarray, num_workers: int = 1
     ) -> None:
         """One EM pass (Eq. 10), adding the theta contribution to ``out``.
 
-        ``out[v] += sum_l c_{v,l} * p(z_{v,l} = k | Theta, beta)`` for
-        each observed object, computed with the *incoming* parameters
-        exactly as Eq. 10 prescribes; ``beta`` is then updated in place
-        from the same responsibilities.
-
-        The E pass runs over contiguous observed-node blocks (each
-        block owns its nnz range of the canonical counts pattern and
-        writes disjoint rows of ``out``), so results are bit-identical
-        at any ``num_workers``; the ``beta`` M-step is a serial
-        epilogue over the blockwise-filled ratio matrix.
+        :meth:`accumulate_e_step` with the *incoming* ``beta``, exactly
+        as Eq. 10 prescribes; ``beta`` is then updated in place from the
+        same responsibilities, a serial epilogue over the
+        blockwise-filled ratio matrix.
         """
         beta = self._require_params()
-        if self._pattern.nnz == 0:
+        if self._vals.size == 0:
             return
-        indices = self.compiled.node_indices
-        theta_obs = self._theta_obs
-        pattern = self._pattern
-        self._beta_t[...] = beta.T
-        denom = self._denom
-        ratio_data = self._ratio_data
-
-        def block(_index: int, v0: int, v1: int) -> None:
-            p0 = int(pattern.indptr[v0])
-            p1 = int(pattern.indptr[v1])
-            rows_slice = theta_obs[v0:v1]
-            np.take(theta, indices[v0:v1], axis=0, out=rows_slice)
-            if p1 > p0:
-                np.einsum(
-                    "nk,kn->n",
-                    theta_obs[pattern.rows[p0:p1]],
-                    beta[:, pattern.cols[p0:p1]],
-                    out=denom[p0:p1],
-                )
-                np.maximum(denom[p0:p1], 1e-300, out=denom[p0:p1])
-                np.divide(
-                    pattern.vals[p0:p1],
-                    denom[p0:p1],
-                    out=ratio_data[p0:p1],
-                )
-            # self._ratio shares ratio_data: its rows v0:v1 now hold C/d
-            csr_matmul_rows(self._ratio, self._beta_t, self._term, v0, v1)
-            term_slice = self._term[v0:v1]
-            term_slice *= rows_slice
-            out[indices[v0:v1]] += term_slice
-
-        run_blocks(self._get_plan(), block, num_workers)
+        self.accumulate_e_step(theta, out, num_workers)
         # beta M-step: beta_kl propto sum_v c_vl p(z=k) = beta_kl * [theta^T (C/d)]_kl
-        beta_new = beta * (theta_obs.T @ self._ratio)
+        beta_new = beta * (self._theta_obs.T @ self._ratio)
         beta_new += self.smoothing
         self.beta = beta_new / beta_new.sum(axis=1, keepdims=True)
 
@@ -413,14 +291,17 @@ class CategoricalModel:
 
     def log_likelihood(self, theta: np.ndarray) -> float:
         """``sum_v sum_l c_vl log(sum_k theta_vk beta_kl)`` (log of Eq. 3)."""
-        if self._pattern.nnz == 0:
+        if self._vals.size == 0:
             return 0.0
         theta_obs = theta[self.compiled.node_indices]
-        denom = _categorical_denominators(
-            theta_obs, self._pattern, self._require_params()
+        # einsum over the nonzero pattern only: O(nnz * K)
+        denom = np.einsum(
+            "nk,kn->n",
+            theta_obs[self._rows],
+            self._require_params()[:, self._cols],
         )
         denom = np.maximum(denom, 1e-300)
-        return float(np.dot(self._pattern.vals, np.log(denom)))
+        return float(np.dot(self._vals, np.log(denom)))
 
 
 class GaussianModel:
@@ -593,6 +474,18 @@ class GaussianModel:
             )
         return plan
 
+    def accumulate_e_step(
+        self, theta: np.ndarray, out: np.ndarray, num_workers: int = 1
+    ) -> None:
+        """The E-pass of Eq. 11 alone, adding the theta contribution to
+        ``out``; means and variances are read, never updated.
+
+        ``out[v] += sum_{x in v[X]} p(z_{v,x} = k)`` for observed
+        objects, by the same blocked component-major sweep
+        :meth:`accumulate_em_step` runs, minus its M-step moments.
+        """
+        self._sweep(theta, out, num_workers, moments=False)
+
     def accumulate_em_step(
         self, theta: np.ndarray, out: np.ndarray, num_workers: int = 1
     ) -> None:
@@ -615,9 +508,46 @@ class GaussianModel:
         which folds the variance pass into the same block sweep
         without the cancellation a raw ``E[x^2]`` would risk.
         """
+        if not self._sweep(theta, out, num_workers, moments=True):
+            return
+        means, variances = self._require_params()
+        totals_p, m1_p, m2_p = self._partials
+        num_blocks = self._plan.num_blocks
+        totals = ordered_block_sum(
+            totals_p[:num_blocks], np.empty(self.n_clusters)
+        )
+        m1 = ordered_block_sum(
+            m1_p[:num_blocks], np.empty(self.n_clusters)
+        )
+        m2 = ordered_block_sum(
+            m2_p[:num_blocks], np.empty(self.n_clusters)
+        )
+        safe_totals = np.maximum(totals, 1e-300)
+        means_new = m1 / safe_totals
+        # shifted second moment around the incoming means c = mu_k:
+        # E[(x - m)^2] = E[(x - c)^2] - (m - c)^2
+        delta = means_new - means
+        var_new = m2 / safe_totals - delta * delta
+        # clusters with no responsibility mass keep their parameters
+        dead = totals <= 1e-300
+        means_new[dead] = means[dead]
+        var_new[dead] = variances[dead]
+        self.means = means_new
+        self.variances = np.maximum(var_new, self.variance_floor)
+
+    def _sweep(
+        self,
+        theta: np.ndarray,
+        out: np.ndarray,
+        num_workers: int,
+        moments: bool,
+    ) -> bool:
+        """The blocked E-pass; with ``moments`` it also fills the
+        per-block M-step partials.  False when there is nothing to
+        score."""
         means, variances = self._require_params()
         if self._values.size == 0:
-            return
+            return False
         plan = self._get_plan()
         k_components = self.n_clusters
         values = self._values
@@ -634,8 +564,7 @@ class GaussianModel:
         # log-space fallback the shifted path used
         coeff = -0.5 / variances
         log_norm = -0.5 * (_LOG_2PI + np.log(variances))
-        partials = self._partials
-        totals_p, m1_p, m2_p = partials[0], partials[1], partials[2]
+        totals_p, m1_p, m2_p = self._partials
 
         def block(index: int, v0: int, v1: int) -> None:
             o0 = int(obs_indptr[v0])
@@ -683,34 +612,14 @@ class GaussianModel:
                     local, weights=r[k], minlength=v1 - v0
                 )
                 per_node[v0:v1, k] = counts
-                totals_p[index, k] = counts.sum()
-                m1_p[index, k] = np.dot(x, r[k])
-                m2_p[index, k] = np.dot(r[k], dev[k])
+                if moments:
+                    totals_p[index, k] = counts.sum()
+                    m1_p[index, k] = np.dot(x, r[k])
+                    m2_p[index, k] = np.dot(r[k], dev[k])
             out[indices[v0:v1]] += per_node[v0:v1]
 
         run_blocks(plan, block, num_workers)
-        num_blocks = plan.num_blocks
-        totals = ordered_block_sum(
-            totals_p[:num_blocks], np.empty(self.n_clusters)
-        )
-        m1 = ordered_block_sum(
-            m1_p[:num_blocks], np.empty(self.n_clusters)
-        )
-        m2 = ordered_block_sum(
-            m2_p[:num_blocks], np.empty(self.n_clusters)
-        )
-        safe_totals = np.maximum(totals, 1e-300)
-        means_new = m1 / safe_totals
-        # shifted second moment around the incoming means c = mu_k:
-        # E[(x - m)^2] = E[(x - c)^2] - (m - c)^2
-        delta = means_new - means
-        var_new = m2 / safe_totals - delta * delta
-        # clusters with no responsibility mass keep their parameters
-        dead = totals <= 1e-300
-        means_new[dead] = means[dead]
-        var_new[dead] = variances[dead]
-        self.means = means_new
-        self.variances = np.maximum(var_new, self.variance_floor)
+        return True
 
     def em_step(self, theta: np.ndarray) -> np.ndarray:
         """Allocating wrapper: the Eq. 11 contribution as a dense array."""

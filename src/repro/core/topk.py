@@ -140,26 +140,40 @@ def score_block(
     One matmul per block; returns the dense ``(m, stop - start)`` score
     panel (larger = more similar).  Scoring the whole row space as one
     block reproduces the offline pairwise matrices byte-for-byte --
-    that is what makes this the single scoring implementation.
+    that is what makes this the single scoring implementation.  A
+    query's scores do not depend on how many queries share the call
+    (see :func:`_inner`).
     """
     block = theta[start:stop]
     if metric == "cosine":
         norms = pre["norms"][start:stop]
         candidates = block / np.maximum(norms[:, None], EPS)
-        return prepared @ candidates.T
+        return _inner(prepared, candidates)
     if metric == "neg_euclidean":
         rows, rows_sq = prepared
         sq = (
             rows_sq[:, None]
             + pre["sq"][None, start:stop]
-            - 2.0 * (rows @ block.T)
+            - 2.0 * _inner(rows, block)
         )
         return -np.sqrt(np.maximum(sq, 0.0))
     if metric == "neg_cross_entropy":
         # the *query* supplies the coding distribution (inside the
         # log), matching the paper's feature orientation for <v_i, v_j>
-        return prepared @ block.T
+        return _inner(prepared, block)
     raise ValueError(f"unknown similarity metric {metric!r}")
+
+
+def _inner(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``queries @ block.T`` with the same BLAS kernel at any batch size.
+
+    numpy sends a one-row product to gemv, which rounds differently
+    from gemm in the last bit; a lone query is scored as a pair with
+    itself so that it takes gemm like every larger batch.
+    """
+    if queries.shape[0] == 1:
+        return (np.concatenate([queries, queries]) @ block.T)[:1]
+    return queries @ block.T
 
 
 def pairwise_scores(

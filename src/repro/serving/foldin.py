@@ -20,9 +20,12 @@ neighbours -- so the full ``(n+m, n+m)`` views of
 :func:`~repro.hin.views.extend_relation_matrices` are never
 materialized here).  Each fixed-point sweep is two sparse products (a
 constant base-block term computed once, plus the in-batch block) and
-one frozen-parameter responsibility pass per attribute --
-``O(K (|E_new| + |obs_new|))`` per iteration regardless of the fitted
-network's size.
+one E-pass per attribute -- ``O(K (|E_new| + |obs_new|))`` per
+iteration regardless of the fitted network's size.  The batch's
+observations are compiled once into the same attribute models training
+runs, carrying the fitted parameters, and every sweep calls their
+blocked ``accumulate_e_step``: fitted and unseen nodes are scored by
+one E-step kernel, without its M-step.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.attribute_models import (
-    CountsPattern,
-    categorical_theta_term,
-    gaussian_theta_term,
+    AttributeModel,
+    CategoricalModel,
+    GaussianModel,
 )
 from repro.core.kernels import (
     BlockPlan,
@@ -53,6 +56,10 @@ from repro.core.kernels import (
     run_blocks,
 )
 from repro.exceptions import ServingError
+from repro.hin.attributes import (
+    CompiledNumericAttribute,
+    CompiledTextAttribute,
+)
 
 
 @dataclass(frozen=True)
@@ -414,8 +421,10 @@ def fold_in(
         model.theta, model.gamma, num_workers=num_workers, plan=plan
     )
 
-    text_obs, oov_terms = _compile_text(model, nodes)
-    numeric_obs = _compile_numeric(model, nodes)
+    text_models, oov_terms = _compile_text(model, nodes)
+    attribute_models = text_models + _compile_numeric(model, nodes)
+    for attribute in attribute_models:
+        attribute.set_block_rows(block_size)
 
     # reverse in-batch link map for the per-row convergence rule:
     # dependants[t] = batch rows holding a link to batch row t (the
@@ -459,16 +468,11 @@ def fold_in(
             update[start:stop] += constant[start:stop]
 
         run_blocks(plan, propagate_block, num_workers)
-        for rows, pattern, beta in text_obs:
+        # the attribute term is the training models' own blocked E-pass
+        for attribute in attribute_models:
+            rows = attribute.compiled.node_indices
             if block_live is None or active[rows].any():
-                update[rows] += categorical_theta_term(
-                    theta[rows], None, beta, pattern=pattern
-                )
-        for rows, values, owners, means, variances in numeric_obs:
-            if block_live is None or active[rows].any():
-                update[rows] += gaussian_theta_term(
-                    theta[rows], values, owners, means, variances
-                )
+                attribute.accumulate_e_step(theta, update, num_workers)
 
         # the closing normalize/floor step is the SAME shared kernel
         # training's em_update runs (dead rows stay at the prior, rows
@@ -632,28 +636,24 @@ def _as_bag(bag: Any) -> dict[str, float]:
 
 def _compile_text(
     model: FrozenModel, nodes: Sequence[NewNode]
-) -> tuple[
-    list[tuple[np.ndarray, CountsPattern, np.ndarray]],
-    int,
-]:
-    """Group text observations per attribute into
-    (rows, pattern, beta); the sparse counts are decomposed into their
-    pattern once here so the fixed-point sweeps reuse it."""
+) -> tuple[list[AttributeModel], int]:
+    """One :class:`CategoricalModel` per observed text attribute,
+    carrying the fitted ``beta``.  Columns are renumbered to the terms
+    the batch uses, in vocabulary order, so the model holds only those
+    columns of ``beta`` and each row's arithmetic is the same as over
+    the whole vocabulary."""
     per_attribute: dict[str, list[tuple[int, dict[str, float]]]] = {}
     for position, spec in enumerate(nodes):
         for attribute, bag in spec.text.items():
-            params = _require_params(
+            _require_params(
                 model, spec, attribute, expected_kind="categorical"
             )
-            del params
             counts = _as_bag(bag)
             if counts:
                 per_attribute.setdefault(attribute, []).append(
                     (position, counts)
                 )
-    compiled: list[
-        tuple[np.ndarray, CountsPattern, np.ndarray]
-    ] = []
+    compiled: list[AttributeModel] = []
     oov_terms = 0
     for attribute, observed in per_attribute.items():
         params = model.attribute_params[attribute]
@@ -661,9 +661,7 @@ def _compile_text(
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
-        node_rows: list[int] = []
-        for local_row, (position, counts) in enumerate(observed):
-            node_rows.append(position)
+        for local_row, (_position, counts) in enumerate(observed):
             for term, count in counts.items():
                 if count <= 0:
                     continue
@@ -674,26 +672,35 @@ def _compile_text(
                 rows.append(local_row)
                 cols.append(col)
                 vals.append(count)
-        counts_matrix = sparse.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(len(observed), len(vocabulary)),
-            dtype=np.float64,
+        if not cols:
+            continue
+        used, local_cols = np.unique(cols, return_inverse=True)
+        terms = params["vocabulary"]
+        scorer = CategoricalModel(
+            CompiledTextAttribute(
+                node_indices=np.asarray(
+                    [position for position, _ in observed], dtype=np.int64
+                ),
+                counts=sparse.csr_matrix(
+                    (vals, (rows, local_cols)),
+                    shape=(len(observed), used.size),
+                    dtype=np.float64,
+                ),
+                vocabulary=tuple(terms[col] for col in used),
+            ),
+            model.n_clusters,
+            len(nodes),
         )
-        if counts_matrix.nnz:
-            compiled.append(
-                (
-                    np.asarray(node_rows, dtype=np.int64),
-                    CountsPattern.from_counts(counts_matrix),
-                    np.asarray(params["beta"], dtype=np.float64),
-                )
-            )
+        scorer.beta = np.asarray(params["beta"], dtype=np.float64)[:, used]
+        compiled.append(scorer)
     return compiled, oov_terms
 
 
 def _compile_numeric(
     model: FrozenModel, nodes: Sequence[NewNode]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Group numeric observations into (rows, values, owners, mu, var)."""
+) -> list[AttributeModel]:
+    """One :class:`GaussianModel` per observed numeric attribute,
+    carrying the fitted means and variances."""
     per_attribute: dict[str, list[tuple[int, list[float]]]] = {}
     for position, spec in enumerate(nodes):
         for attribute, values in spec.numeric.items():
@@ -711,7 +718,7 @@ def _compile_numeric(
                 per_attribute.setdefault(attribute, []).append(
                     (position, cleaned)
                 )
-    compiled = []
+    compiled: list[AttributeModel] = []
     for attribute, observed in per_attribute.items():
         params = model.attribute_params[attribute]
         node_rows: list[int] = []
@@ -721,15 +728,18 @@ def _compile_numeric(
             node_rows.append(position)
             owners.extend([local_row] * len(obs))
             values.extend(obs)
-        compiled.append(
-            (
-                np.asarray(node_rows, dtype=np.int64),
-                np.asarray(values, dtype=np.float64),
-                np.asarray(owners, dtype=np.int64),
-                np.asarray(params["means"], dtype=np.float64),
-                np.asarray(params["variances"], dtype=np.float64),
-            )
+        scorer = GaussianModel(
+            CompiledNumericAttribute(
+                node_indices=np.asarray(node_rows, dtype=np.int64),
+                values=np.asarray(values, dtype=np.float64),
+                owners=np.asarray(owners, dtype=np.int64),
+            ),
+            model.n_clusters,
+            len(nodes),
         )
+        scorer.means = np.asarray(params["means"], dtype=np.float64)
+        scorer.variances = np.asarray(params["variances"], dtype=np.float64)
+        compiled.append(scorer)
     return compiled
 
 
@@ -738,7 +748,7 @@ def _require_params(
     spec: NewNode,
     attribute: str,
     expected_kind: str,
-) -> dict:
+) -> None:
     params = model.attribute_params.get(attribute)
     if params is None:
         raise ServingError(
@@ -751,4 +761,3 @@ def _require_params(
             f"{params['kind']}, but observations were given as "
             f"{'text' if expected_kind == 'categorical' else 'numeric'}"
         )
-    return params

@@ -15,10 +15,12 @@ Determinism: every engine call the gateway makes runs on a
 **single-thread executor**, so concurrent HTTP load can never
 interleave two engine operations (parallelism lives *inside* a batch,
 in the router's per-shard scatter and the workers' kernels).  Batched
-answers are bit-identical to unbatched ones by the engine's per-row
-convergence contract, and JSON round-trips Python floats exactly
-(shortest-repr), so a response body carries the same 64 bits the
-in-process reference returns -- pinned in ``tests/test_gateway.py``.
+answers are bit-identical to unbatched ones: ``/score`` rows by the
+engine's per-row convergence contract, ``/similar`` scores because
+every query batch size, one included, runs the same BLAS kernel
+(:func:`repro.core.topk.score_block`).  JSON round-trips Python floats
+exactly (shortest-repr), so a response body carries the same 64 bits
+the in-process reference returns -- pinned in ``tests/test_gateway.py``.
 
 Admission control: a bounded queue (``max_queue`` items pending or in
 flight).  A request that would overflow it is rejected with **429**
@@ -67,10 +69,16 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+MAX_BODY_BYTES = 16 << 20
+"""Largest request body the gateway reads; a longer declared
+``Content-Length`` is answered with 413 before any of it is read."""
 
 
 class GatewayBusy(ServingError):
@@ -426,17 +434,27 @@ class Gateway:
                         "latin-1"
                     ).partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0))
-                body = (
-                    await reader.readexactly(length) if length else b""
-                )
-                status, ctype, payload = await self._dispatch(
-                    method, target, body
-                )
-                keep = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
+                length = headers.get("content-length", "0")
+                refused = _refuse_length(length)
+                if refused is not None:
+                    # the body is unread, so the stream cannot be
+                    # re-framed: answer, then close the connection
+                    status, ctype, payload = refused
+                    keep = False
+                else:
+                    length = int(length)
+                    body = (
+                        await reader.readexactly(length)
+                        if length
+                        else b""
+                    )
+                    status, ctype, payload = await self._dispatch(
+                        method, target, body
+                    )
+                    keep = (
+                        headers.get("connection", "keep-alive").lower()
+                        != "close"
+                    )
                 head = (
                     f"HTTP/1.1 {status} "
                     f"{_REASONS.get(status, 'OK')}\r\n"
@@ -674,6 +692,24 @@ def _parse_json(body: bytes) -> dict:
     if not isinstance(parsed, dict):
         raise ServingError("the request body must be a JSON object")
     return parsed
+
+
+def _refuse_length(length: str) -> tuple[int, str, bytes] | None:
+    """The 400 / 413 reply for a ``Content-Length`` the gateway will
+    not read a body for, or ``None`` when the length is acceptable."""
+    if not (length.isascii() and length.isdigit()):
+        return _json_response(
+            400, {"error": f"bad Content-Length {length!r}"}
+        )
+    if int(length) > MAX_BODY_BYTES:
+        return _json_response(
+            413,
+            {
+                "error": f"body of {int(length)} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            },
+        )
+    return None
 
 
 def _json_response(

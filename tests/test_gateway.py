@@ -14,9 +14,11 @@ HTTP" is a literal claim: the response body carries the same 64 bits
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,6 +35,7 @@ from repro.serving import (
     SupervisionPolicy,
 )
 from repro.serving.gateway import (
+    MAX_BODY_BYTES,
     GatewayBusy,
     GatewayServer,
     MicroBatcher,
@@ -95,6 +98,24 @@ def get(url, path):
             return response.status, response.read()
     except urllib.error.HTTPError as error:
         return error.code, error.read()
+
+
+def raw_post(url, content_length):
+    """POST /score with a verbatim ``Content-Length`` header and no
+    body; returns the status code and JSON body of the reply, which
+    must arrive and be followed by the server closing the connection."""
+    host, port = urllib.parse.urlsplit(url).netloc.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"POST /score HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode("latin-1")
+        )
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert b"Connection: close" in head
+    return int(head.split()[1]), json.loads(body)
 
 
 def trigger_counts(registry_snapshot):
@@ -431,6 +452,39 @@ class TestGatewayOperations:
             assert status == 404
             status, _ = get(server.url, "/score")
             assert status == 405
+        engine.close()
+
+    @pytest.mark.parametrize("content_length", ["abc", "-5", ""])
+    def test_malformed_content_length_is_400(
+        self, forum_result, content_length
+    ):
+        engine = ShardedEngine.from_result(
+            forum_result, n_shards=2, block_size=BLOCK
+        )
+        with GatewayServer.launch(engine) as server:
+            status, body = raw_post(server.url, content_length)
+            assert status == 400
+            assert "Content-Length" in body["error"]
+            status, _ = post(
+                server.url,
+                "/score",
+                {"queries": [dict(object_type="user", **GREEN_QUERY)]},
+            )
+            assert status == 200
+        engine.close()
+
+    def test_oversized_content_length_is_413_unread(self, forum_result):
+        """A body over the cap is refused from its header alone: the
+        reply comes back without a byte of the body being sent."""
+        engine = ShardedEngine.from_result(
+            forum_result, n_shards=2, block_size=BLOCK
+        )
+        with GatewayServer.launch(engine) as server:
+            status, body = raw_post(server.url, MAX_BODY_BYTES + 1)
+            assert status == 413
+            assert str(MAX_BODY_BYTES) in body["error"]
+            status, _ = get(server.url, "/healthz")
+            assert status == 200
         engine.close()
 
     def test_drain_completes_inflight_work(self, forum_result):

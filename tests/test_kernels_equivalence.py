@@ -17,10 +17,9 @@ from scipy import sparse
 from scipy.special import polygamma, zeta
 
 from repro.core.attribute_models import (
-    CountsPattern,
-    categorical_theta_term,
+    CategoricalModel,
+    GaussianModel,
     gaussian_responsibilities,
-    gaussian_theta_term,
 )
 from repro.core.em import em_update, neighbor_term, run_em
 from repro.core.genclus import GenClus
@@ -53,7 +52,12 @@ from repro.datagen.toy import (
     political_forum_network,
     political_forum_truth,
 )
-from repro.hin.attributes import NumericAttribute, TextAttribute
+from repro.hin.attributes import (
+    CompiledNumericAttribute,
+    CompiledTextAttribute,
+    NumericAttribute,
+    TextAttribute,
+)
 from repro.hin.builder import NetworkBuilder
 
 RTOL = 1e-10
@@ -397,45 +401,87 @@ class TestSmallHelpers:
         np.testing.assert_allclose(out, zeta(2, field), rtol=1e-11)
 
 
+def dense_categorical_term(theta_rows, counts, beta):
+    """Readable Eq. 10 responsibility sums:
+    ``theta * ((C / (theta @ beta)) @ beta.T)`` on dense arrays."""
+    dense = np.asarray(counts.todense())
+    return theta_rows * ((dense / (theta_rows @ beta)) @ beta.T)
+
+
+def add_at_gaussian_term(theta_rows, values, owners, means, variances):
+    """Readable Eq. 11 responsibility sums: the log-space reference
+    responsibilities scattered to their owners with ``np.add.at``."""
+    resp = gaussian_responsibilities(
+        theta_rows, values, owners, means, variances
+    )
+    reference = np.zeros(theta_rows.shape)
+    np.add.at(reference, owners, resp)
+    return reference
+
+
+def e_step(model, theta):
+    """The E-only pass scattered into a fresh ``(n, K)`` array."""
+    out = np.zeros(theta.shape)
+    model.accumulate_e_step(theta, out)
+    return out
+
+
 class TestAttributeTermEquivalence:
+    """The models' blocked E-pass -- training's and serving fold-in's
+    one attribute kernel -- against readable references."""
+
     def test_categorical_pattern_cache_matches_fresh(self):
+        """One model's frozen counts pattern, reused across theta
+        values, scores like a freshly built model and like the dense
+        reference; the E-only pass leaves beta untouched."""
         rng = np.random.default_rng(4)
         m, vocab, k = 12, 9, 3
         counts = sparse.random(
             m, vocab, density=0.3, format="csr", random_state=0
         )
         counts.data = np.ceil(np.abs(counts.data) * 4)
-        theta = rng.dirichlet(np.ones(k), size=m)
+        compiled = CompiledTextAttribute(
+            node_indices=np.arange(m),
+            counts=counts,
+            vocabulary=tuple(f"w{i}" for i in range(vocab)),
+        )
+        model = CategoricalModel(compiled, k, m)
         beta = rng.dirichlet(np.ones(vocab), size=k)
-        fresh = categorical_theta_term(theta, counts, beta)
-        pattern = CountsPattern.from_counts(counts)
-        cached = categorical_theta_term(
-            theta, counts, beta, pattern=pattern
-        )
-        np.testing.assert_allclose(cached, fresh, rtol=RTOL)
-        # the pattern is reusable across theta values
-        theta2 = rng.dirichlet(np.ones(k), size=m)
-        np.testing.assert_allclose(
-            categorical_theta_term(theta2, counts, beta, pattern=pattern),
-            categorical_theta_term(theta2, counts, beta),
-            rtol=RTOL,
-        )
+        model.set_params(beta)
+        for _ in range(2):
+            theta = rng.dirichlet(np.ones(k), size=m)
+            fresh = CategoricalModel(compiled, k, m)
+            fresh.set_params(beta)
+            cached = e_step(model, theta)
+            np.testing.assert_array_equal(cached, e_step(fresh, theta))
+            np.testing.assert_allclose(
+                cached, dense_categorical_term(theta, counts, beta),
+                rtol=RTOL,
+            )
+        np.testing.assert_array_equal(model.beta, beta)
 
     def test_gaussian_bincount_scatter_matches_add_at(self):
+        """Unsorted owners (canonicalized by the model) and rows with
+        no observation; the E-only pass leaves the parameters alone."""
         rng = np.random.default_rng(5)
         m, k, n_obs = 10, 4, 60
         theta = rng.dirichlet(np.ones(k), size=m)
         values = rng.normal(size=n_obs)
-        owners = rng.integers(0, m, size=n_obs)
+        owners = rng.integers(0, m - 2, size=n_obs)
         means = rng.normal(size=k)
         variances = rng.random(k) + 0.2
-        term = gaussian_theta_term(theta, values, owners, means, variances)
-        resp = gaussian_responsibilities(
-            theta, values, owners, means, variances
+        compiled = CompiledNumericAttribute(
+            node_indices=np.arange(m), values=values, owners=owners
         )
-        reference = np.zeros((m, k))
-        np.add.at(reference, owners, resp)  # the historical scatter
-        np.testing.assert_allclose(term, reference, rtol=RTOL)
+        model = GaussianModel(compiled, k, m)
+        model.set_params(means, variances)
+        np.testing.assert_allclose(
+            e_step(model, theta),
+            add_at_gaussian_term(theta, values, owners, means, variances),
+            rtol=RTOL,
+        )
+        np.testing.assert_array_equal(model.means, means)
+        np.testing.assert_array_equal(model.variances, variances)
 
     def test_gaussian_one_hot_theta_far_observation(self):
         """A one-hot theta row whose supported component's density
@@ -443,23 +489,22 @@ class TestAttributeTermEquivalence:
         linear-space fast path falls back to the clamped log-space
         reference for such rows) -- and must not poison the model's
         parameters with NaN."""
-        from repro.hin.attributes import NumericAttribute
-
         numeric = NumericAttribute("x")
         numeric.add_value("a", 0.0)
         numeric.add_value("b", 1.0)
         compiled = numeric.compile({"a": 0, "b": 1})
-        from repro.core.attribute_models import GaussianModel
-
         model = GaussianModel(compiled, 2, 2)
         model.set_params(np.array([60.0, 0.0]), np.array([1.0, 1.0]))
         theta = np.array([[1.0, 0.0], [0.5, 0.5]])
-        expected_rows = gaussian_theta_term(
+        expected_rows = add_at_gaussian_term(
             theta,
             compiled.values,
             compiled.owners,
             np.array([60.0, 0.0]),
             np.array([1.0, 1.0]),
+        )
+        np.testing.assert_allclose(
+            e_step(model, theta), expected_rows, rtol=RTOL
         )
         out = np.zeros((2, 2))
         model.accumulate_em_step(theta, out)
@@ -478,19 +523,20 @@ class TestAttributeTermEquivalence:
         ],
     )
     def test_accumulate_em_step_matches_frozen_terms(self, kwargs):
-        """One model EM pass == frozen-parameter term at same params."""
+        """One model EM pass == the reference terms at the incoming
+        (frozen) parameters."""
         problem, _ = make_problem_pair(6, n=30, **kwargs)
         rng = np.random.default_rng(7)
         theta = random_theta(rng, problem.num_nodes, problem.n_clusters)
         for model in problem.attribute_models:
             compiled = model.compiled
             idx = compiled.node_indices
-            if hasattr(model, "beta"):
-                expected_rows = categorical_theta_term(
+            if isinstance(model, CategoricalModel):
+                expected_rows = dense_categorical_term(
                     theta[idx], compiled.counts, model.beta
                 )
             else:
-                expected_rows = gaussian_theta_term(
+                expected_rows = add_at_gaussian_term(
                     theta[idx],
                     compiled.values,
                     compiled.owners,
@@ -505,6 +551,37 @@ class TestAttributeTermEquivalence:
             np.testing.assert_allclose(
                 out, expected, rtol=RTOL, atol=1e-12
             )
+
+    @pytest.mark.parametrize("block_rows", [None, 4])
+    def test_e_step_is_em_step_theta_term_bitwise(self, block_rows):
+        """The E-only pass adds exactly the theta contribution of
+        ``accumulate_em_step``, bit for bit, and updates nothing."""
+        problem, twin = make_problem_pair(
+            8, n=40, with_text=True, with_numeric=True
+        )
+        theta = random_theta(
+            np.random.default_rng(9), problem.num_nodes, problem.n_clusters
+        )
+        for e_model, em_model in zip(
+            problem.attribute_models, twin.attribute_models
+        ):
+            e_model.set_block_rows(block_rows)
+            em_model.set_block_rows(block_rows)
+            before = [
+                getattr(e_model, name).copy()
+                for name in ("beta", "means", "variances")
+                if hasattr(e_model, name)
+            ]
+            em_out = np.zeros(theta.shape)
+            em_model.accumulate_em_step(theta, em_out)
+            np.testing.assert_array_equal(e_step(e_model, theta), em_out)
+            after = [
+                getattr(e_model, name)
+                for name in ("beta", "means", "variances")
+                if hasattr(e_model, name)
+            ]
+            for old, new in zip(before, after):
+                np.testing.assert_array_equal(old, new)
 
 
 def reference_em_update(theta, gamma, matrices, models, floor=1e-12):
@@ -965,6 +1042,58 @@ class TestBlockedParallelEquivalence:
             fold_in(
                 model, batch, num_workers=workers, block_size=5
             )
+            for workers in WORKER_COUNTS
+        ]
+        for other in outcomes[1:]:
+            np.testing.assert_array_equal(
+                outcomes[0].theta, other.theta
+            )
+            assert outcomes[0].iterations == other.iterations
+
+    def test_gaussian_foldin_sweep_bit_identical_across_workers(self):
+        """Fold-in of numeric observations (the Gaussian E-pass split
+        into several observed-row blocks) at worker counts {1, 2, 7}."""
+        from repro.datagen.weather import (
+            RELATION_TT,
+            TEMPERATURE_ATTR,
+            TEMPERATURE_TYPE,
+            WeatherConfig,
+            generate_weather_network,
+        )
+        from repro.experiments.weather_common import WEATHER_ATTRIBUTES
+        from repro.serving import ModelArtifact, NewNode, fold_in
+        from repro.serving.foldin import FrozenModel
+
+        generated = generate_weather_network(
+            WeatherConfig(
+                n_temperature=40, n_precipitation=20, k_neighbors=3,
+                n_observations=5, seed=0,
+            )
+        )
+        result = GenClus(
+            GenClusConfig(
+                n_clusters=4, outer_iterations=2, seed=0, n_init=2
+            )
+        ).fit(generated.network, attributes=WEATHER_ATTRIBUTES)
+        model = FrozenModel.from_artifact(
+            ModelArtifact.from_result(result)
+        )
+        rng = np.random.default_rng(1)
+        batch = [
+            NewNode(
+                f"q{i}",
+                TEMPERATURE_TYPE,
+                links=((RELATION_TT, f"T{i}", 1.0),) if i % 2 else (),
+                numeric={
+                    TEMPERATURE_ATTR: rng.normal(
+                        1.0 + i % 4, 0.5, size=3 + i % 5
+                    ).tolist()
+                },
+            )
+            for i in range(15)
+        ]
+        outcomes = [
+            fold_in(model, batch, num_workers=workers, block_size=4)
             for workers in WORKER_COUNTS
         ]
         for other in outcomes[1:]:

@@ -1,5 +1,8 @@
 """Tests for repro.serving.foldin (online posterior assignment)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -505,3 +508,177 @@ class TestPerRowConvergence:
         leader, follower = outcome.theta
         assert follower.max() > 0.9
         assert int(follower.argmax()) == int(leader.argmax())
+
+
+# ----------------------------------------------------------------------
+# pinned fold-in answers
+# ----------------------------------------------------------------------
+REFERENCE_PATH = Path(__file__).parent / "data" / "foldin_reference.json"
+"""Fold-in memberships of two fixed batches, written by the row-major
+frozen-parameter scorers that served fold-in before it moved onto the
+attribute models' blocked E-pass.  Floats are stored as ``float.hex``
+so the file carries every bit."""
+
+
+def weather_reference_case():
+    """A fitted weather model and a batch of new sensors: links only,
+    observations only, both, an in-batch link, and an observation far
+    in the tail of every component."""
+    from repro.datagen.weather import (
+        PRECIPITATION_ATTR,
+        PRECIPITATION_TYPE,
+        RELATION_PP,
+        RELATION_TT,
+        TEMPERATURE_ATTR,
+        TEMPERATURE_TYPE,
+        WeatherConfig,
+        generate_weather_network,
+    )
+    from repro.experiments.weather_common import WEATHER_ATTRIBUTES
+
+    generated = generate_weather_network(
+        WeatherConfig(
+            n_temperature=120,
+            n_precipitation=60,
+            k_neighbors=4,
+            n_observations=6,
+            seed=3,
+        )
+    )
+    result = GenClus(
+        GenClusConfig(n_clusters=4, outer_iterations=3, seed=0, n_init=2)
+    ).fit(generated.network, attributes=WEATHER_ATTRIBUTES)
+    model = FrozenModel.from_artifact(ModelArtifact.from_result(result))
+    rng = np.random.default_rng(11)
+    batch = []
+    for i in range(8):
+        targets = rng.choice(120, size=3, replace=False)
+        links = tuple((RELATION_TT, f"T{int(t)}", 1.0) for t in targets)
+        values = rng.normal(1.0 + 0.5 * i, 0.4, size=6).tolist()
+        batch.append(
+            NewNode(
+                f"t{i}",
+                TEMPERATURE_TYPE,
+                links=links if i % 3 else (),
+                numeric={TEMPERATURE_ATTR: values} if i % 4 else {},
+            )
+        )
+    for i in range(4):
+        targets = rng.choice(60, size=2, replace=False)
+        batch.append(
+            NewNode(
+                f"p{i}",
+                PRECIPITATION_TYPE,
+                links=tuple(
+                    (RELATION_PP, f"P{int(t)}", 2.0) for t in targets
+                ),
+                numeric={
+                    PRECIPITATION_ATTR: rng.normal(
+                        2.0 + i, 0.3, size=4
+                    ).tolist()
+                },
+            )
+        )
+    batch.append(
+        NewNode(
+            "t-linked",
+            TEMPERATURE_TYPE,
+            links=((RELATION_TT, "t1", 1.0), (RELATION_TT, "T5", 1.0)),
+        )
+    )
+    batch.append(
+        NewNode(
+            "t-far",
+            TEMPERATURE_TYPE,
+            numeric={TEMPERATURE_ATTR: [40.0, 2.0, -30.0]},
+        )
+    )
+    return model, batch
+
+
+def dblp_reference_case():
+    """A fitted DBLP ACP model and held-out papers folded in with a
+    subset of their authors, their venue and a masked title."""
+    import dataclasses
+
+    from repro.datagen.dblp import (
+        TITLE_ATTR,
+        FourAreaConfig,
+        build_acp_network,
+        generate_corpus,
+    )
+
+    corpus = generate_corpus(
+        FourAreaConfig(n_authors=120, n_papers=400, seed=0)
+    )
+    rng = np.random.default_rng(5)
+    held = set(rng.choice(len(corpus.papers), size=16, replace=False).tolist())
+    train = tuple(
+        paper
+        for index, paper in enumerate(corpus.papers)
+        if index not in held
+    )
+    network = build_acp_network(dataclasses.replace(corpus, papers=train))
+    result = GenClus(
+        GenClusConfig(n_clusters=4, outer_iterations=3, seed=0, n_init=2)
+    ).fit(network, attributes=[TITLE_ATTR])
+    model = FrozenModel.from_artifact(ModelArtifact.from_result(result))
+    batch = []
+    for index in sorted(held):
+        paper = corpus.papers[index]
+        authors = paper.authors[: 1 + index % len(paper.authors)]
+        links = [("written_by", author, 1.0) for author in authors]
+        if index % 3:
+            links.append(("published_by", paper.venue, 1.0))
+        title = list(paper.title_tokens[index % 2 :: 2])
+        if index % 5 == 0:
+            title.append("never-seen-term")
+        batch.append(
+            NewNode(
+                paper.paper_id,
+                "paper",
+                links=tuple(links),
+                text={TITLE_ATTR: title},
+            )
+        )
+    return model, batch
+
+
+REFERENCE_CASES = {
+    "weather": weather_reference_case,
+    "dblp": dblp_reference_case,
+}
+
+
+def write_reference(path=REFERENCE_PATH):
+    """Fold every reference batch in and store the memberships."""
+    payload = {}
+    for name, build in REFERENCE_CASES.items():
+        model, batch = build()
+        outcome = fold_in(model, batch)
+        payload[name] = {
+            "nodes": [str(node) for node in outcome.nodes],
+            "iterations": outcome.iterations,
+            "theta": [[float(x).hex() for x in row] for row in outcome.theta],
+        }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
+
+
+class TestPinnedReference:
+    """Fold-in answers stay within ``rtol=1e-10`` of the memberships the
+    row-major frozen-parameter scorers produced (``REFERENCE_PATH``)."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_memberships_match_pinned(self, name):
+        with open(REFERENCE_PATH, encoding="utf-8") as handle:
+            pinned = json.load(handle)[name]
+        model, batch = REFERENCE_CASES[name]()
+        outcome = fold_in(model, batch)
+        assert [str(node) for node in outcome.nodes] == pinned["nodes"]
+        expected = np.array(
+            [[float.fromhex(x) for x in row] for row in pinned["theta"]]
+        )
+        np.testing.assert_allclose(outcome.theta, expected, rtol=1e-10)

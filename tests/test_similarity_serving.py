@@ -427,6 +427,49 @@ class TestClusterSimilarity:
 
 
 # ----------------------------------------------------------------------
+# batch composition: a query's scores do not depend on its batchmates
+# ----------------------------------------------------------------------
+class TestBatchComposition:
+    @pytest.fixture(scope="class")
+    def weather_result(self):
+        generated = generate_weather_network(
+            WeatherConfig(
+                n_temperature=400,
+                n_precipitation=200,
+                k_neighbors=3,
+                n_observations=3,
+                seed=0,
+            )
+        )
+        config = GenClusConfig(
+            n_clusters=4, outer_iterations=1, seed=0, n_init=1
+        )
+        return GenClus(config).fit(
+            generated.network, attributes=WEATHER_ATTRIBUTES
+        )
+
+    @pytest.mark.parametrize("engine_kind", ["single", "sharded"])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_lone_query_equals_batched_bitwise(
+        self, weather_result, engine_kind, metric
+    ):
+        """Every score of a one-query call equals, bit for bit, the
+        same query's scores inside a two-query call (one BLAS kernel
+        at every batch size)."""
+        if engine_kind == "single":
+            engine = InferenceEngine.from_result(weather_result)
+        else:
+            engine = ShardedEngine.from_result(weather_result, n_shards=2)
+        k = 399  # every other temperature sensor: all scores compared
+        lone = engine.similar_many(["T3"], k=k, metric=metric)[0]
+        paired = engine.similar_many(["T3", "T8"], k=k, metric=metric)[0]
+        assert len(lone) == k
+        assert [(node, score.hex()) for node, score in lone] == [
+            (node, score.hex()) for node, score in paired
+        ]
+
+
+# ----------------------------------------------------------------------
 # mmap: schema-v3 bundles serve similarity off the map
 # ----------------------------------------------------------------------
 class TestMappedSimilarity:
